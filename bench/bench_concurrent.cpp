@@ -36,10 +36,7 @@
 // so artifacts from different configurations stay distinguishable.
 //
 // --workers-per-shard N pins each reactor shard's worker pool size
-// (default: the worker count splits across shards); --shared-queue
-// collapses the shard-local queues back onto one global queue (the
-// PR 4 shape) so the shard-local-vs-shared dispatch cost is directly
-// A/B-measurable at equal thread counts.
+// (default: the worker count splits across shards).
 //
 // --tcp-depth N switches the workload from UDP to pipelined TCP: each
 // client keeps N calls in flight on one connection (1 = classic
@@ -48,7 +45,7 @@
 //
 // Usage: bench_concurrent [--duration-ms N] [--dwell-us N] [--window N]
 //                         [--reactors N] [--workers-per-shard N]
-//                         [--shared-queue] [--tcp-depth N]
+//                         [--tcp-depth N]
 //                         [--runtime threaded|reactor|both] [--json PATH]
 #include <algorithm>
 #include <atomic>
@@ -85,11 +82,7 @@ struct Point {
   int reactors = 0;     // event-loop shards (1 for the threaded runtime)
   int workers_per_shard = 0;  // 0 = derived from workers
   int tcp_depth = 0;          // 0 = UDP workload
-  bool shared_queue = false;
-  std::string backend;  // "threads", "epoll", "poll" or "uring"
-  // io_uring_enter syscalls across the measurement (0 on other
-  // backends) — the bench's "syscalls per burst" evidence.
-  std::int64_t uring_enters = 0;
+  std::string backend;  // "threads", "epoll" or "poll"
   double calls_per_sec = 0.0;
   // Server-side end-to-end latency (recv to reply-send), read from the
   // runtime's per-shard histograms before stop().  count == 0 when
@@ -117,11 +110,9 @@ struct Options {
   int reactors = 1;  // reactor-runtime shards
   int workers_per_shard = 0;  // 0 = derive from the workers total
   int tcp_depth = 0;  // 0 = UDP; N>0 = TCP with N pipelined calls/client
-  bool shared_queue = false;  // reactor A/B: one global queue (PR 4 shape)
   double open_loop = 0.0;  // >0: offered calls/sec across clients (UDP)
   std::string runtime = "both";  // threaded | reactor | both
-  std::string backend = "auto";  // reactor backend: auto|epoll|poll|uring
-  bool sqpoll = false;           // uring only: IORING_SETUP_SQPOLL
+  std::string backend = "auto";  // reactor backend: auto|epoll|poll
   bool pin_shards = false;       // pin shard/worker threads to CPUs
   std::string json_path;         // empty = no JSON
 };
@@ -156,12 +147,9 @@ Point run_point(const char* runtime_name, core::SpecCache& cache,
   if constexpr (std::is_same_v<ConfigT, rpc::EventServerRuntimeConfig>) {
     cfg.reactors = opt.reactors;
     cfg.workers_per_shard = opt.workers_per_shard;
-    cfg.shared_queue = opt.shared_queue;
     if (opt.tcp_depth > 0) cfg.tcp_pipeline_depth = opt.tcp_depth;
     if (opt.backend == "epoll") cfg.backend = rpc::EventBackend::kEpoll;
     if (opt.backend == "poll") cfg.backend = rpc::EventBackend::kPoll;
-    if (opt.backend == "uring") cfg.backend = rpc::EventBackend::kUring;
-    cfg.sqpoll = opt.sqpoll;
     cfg.pin_shards = opt.pin_shards;
   }
   RuntimeT runtime(reg, cfg);
@@ -428,10 +416,8 @@ Point run_point(const char* runtime_name, core::SpecCache& cache,
   // Read while the runtime is live: stop() tears the shards down and
   // backend() honestly reports "none" afterwards.
   std::string backend = "threads";
-  std::int64_t uring_enters = 0;
   if constexpr (std::is_same_v<RuntimeT, rpc::EventServerRuntime>) {
     backend = runtime.backend();
-    uring_enters = runtime.uring_enter_calls();
   }
   // Server-side end-to-end distribution, merged across shards and both
   // transports.  Empty (count 0) when TEMPO_METRICS=0.
@@ -453,9 +439,7 @@ Point run_point(const char* runtime_name, core::SpecCache& cache,
   if constexpr (std::is_same_v<RuntimeT, rpc::EventServerRuntime>) {
     p.reactors = opt.reactors;
     p.workers_per_shard = opt.workers_per_shard;
-    p.shared_queue = opt.shared_queue;
     p.backend = backend;
-    p.uring_enters = uring_enters;
   } else {
     p.reactors = 1;
     p.backend = "threads";
@@ -539,12 +523,10 @@ void run(const Options& opt) {
   std::printf(
       "bench_concurrent: echo-array n=%u over loopback %s, "
       "dwell=%dus, %dms per point, cache shards=%zu, reactors=%d, "
-      "backend=%s%s%s, workers/shard=%d, queue=%s, %s\n\n",
+      "backend=%s%s, workers/shard=%d, %s\n\n",
       kArraySize, opt.tcp_depth > 0 ? "TCP" : "UDP", opt.dwell_us,
       opt.duration_ms, kCacheShards, opt.reactors, opt.backend.c_str(),
-      opt.sqpoll ? "+sqpoll" : "", opt.pin_shards ? "+pin" : "",
-      opt.workers_per_shard,
-      opt.shared_queue ? "shared" : "shard-local",
+      opt.pin_shards ? "+pin" : "", opt.workers_per_shard,
       opt.tcp_depth > 0
           ? "pipelined TCP"
           : (opt.window > 0 ? "pipelined bursts" : "closed loop"));
@@ -647,7 +629,6 @@ void run(const Options& opt) {
     jw.field("reactors", opt.reactors);
     jw.field("workers_per_shard", opt.workers_per_shard);
     jw.field("tcp_depth", opt.tcp_depth);
-    jw.field("queue", opt.shared_queue ? "shared" : "shard-local");
     jw.field("open_loop_per_sec", opt.open_loop);
     // Whether the server recorded latency histograms: the CI overhead
     // A/B diffs a metrics-on artifact against a TEMPO_METRICS=0 one.
@@ -661,9 +642,7 @@ void run(const Options& opt) {
       jw.field("reactors", p.reactors);
       jw.field("workers_per_shard", p.workers_per_shard);
       jw.field("tcp_depth", p.tcp_depth);
-      jw.field("queue", p.shared_queue ? "shared" : "shard-local");
       jw.field("backend", p.backend);
-      jw.field("uring_enters", p.uring_enters);
       jw.field("calls_per_sec", p.calls_per_sec);
       jw.field("lat_count", p.lat_count);
       jw.field("p50_us", p.p50_us);
@@ -709,8 +688,6 @@ int main(int argc, char** argv) {
       opt.workers_per_shard = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--tcp-depth") == 0 && i + 1 < argc) {
       opt.tcp_depth = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--shared-queue") == 0) {
-      opt.shared_queue = true;
     } else if (std::strcmp(argv[i], "--open-loop") == 0 && i + 1 < argc) {
       opt.open_loop = std::atof(argv[++i]);
     } else if (std::strcmp(argv[i], "--runtime") == 0 && i + 1 < argc) {
@@ -721,27 +698,18 @@ int main(int argc, char** argv) {
       opt.backend = argv[++i];
     } else if (std::strncmp(argv[i], "--backend=", 10) == 0) {
       opt.backend = argv[i] + 10;
-    } else if (std::strcmp(argv[i], "--sqpoll") == 0) {
-      opt.sqpoll = true;
     } else if (std::strcmp(argv[i], "--pin-shards") == 0) {
       opt.pin_shards = true;
-    } else if (std::strcmp(argv[i], "--probe-uring") == 0) {
-      // CI gate: exit 0 when the uring backend can run here, 3 when the
-      // kernel (or TEMPO_URING=0) rules it out — lets workflows skip
-      // the uring A/B leg without parsing bench output.
-      const bool ok = tempo::rpc::EventServerRuntime::uring_supported();
-      std::printf("uring %s\n", ok ? "supported" : "unsupported");
-      return ok ? 0 : 3;
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       opt.json_path = argv[++i];
     } else {
       std::fprintf(stderr,
                    "usage: %s [--duration-ms N] [--dwell-us N] "
                    "[--window N] [--reactors N] [--workers-per-shard N] "
-                   "[--shared-queue] [--tcp-depth N] [--open-loop RATE] "
+                   "[--tcp-depth N] [--open-loop RATE] "
                    "[--runtime threaded|reactor|both] "
-                   "[--backend auto|epoll|poll|uring] [--sqpoll] "
-                   "[--pin-shards] [--probe-uring] [--json PATH|-]\n",
+                   "[--backend auto|epoll|poll] "
+                   "[--pin-shards] [--json PATH|-]\n",
                    argv[0]);
       return 2;
     }
@@ -752,14 +720,9 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (opt.backend != "auto" && opt.backend != "epoll" &&
-      opt.backend != "poll" && opt.backend != "uring") {
+      opt.backend != "poll") {
     std::fprintf(stderr, "unknown --backend %s\n", opt.backend.c_str());
     return 2;
-  }
-  if (opt.backend == "uring" &&
-      !tempo::rpc::EventServerRuntime::uring_supported()) {
-    std::fprintf(stderr, "--backend uring: not supported on this kernel\n");
-    return 3;
   }
   tempo::bench::run(opt);
   return 0;

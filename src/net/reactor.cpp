@@ -5,7 +5,6 @@
 
 #include <cerrno>
 #include <cstdint>
-#include <cstring>
 #include <utility>
 
 #include "net/transport.h"
@@ -54,17 +53,6 @@ short to_poll_mask(unsigned interest) {
   return m;
 }
 
-// Poll-CQE user_data payload: generation (24 bits, wrap-around is fine
-// — a stale CQE colliding needs 2^24 re-arms while one completion sits
-// unreaped) above the fd (32 bits).
-constexpr unsigned kGenMask = 0xFFFFFFu;
-
-std::uint64_t poll_user_data(int fd, unsigned gen) {
-  return uring_user_data(kUringTagPoll,
-                         (static_cast<std::uint64_t>(gen & kGenMask) << 32) |
-                             static_cast<std::uint32_t>(fd));
-}
-
 }  // namespace
 
 void Reactor::init_wakeup() {
@@ -106,29 +94,13 @@ void Reactor::init_epoll() {
 #endif
 }
 
-Reactor::Reactor(ReactorBackend backend, bool sqpoll) {
+Reactor::Reactor(ReactorBackend backend) {
   init_wakeup();
   if (!ok()) return;
-  if (backend == ReactorBackend::kUring && Uring::supported()) {
-    auto ring = std::make_unique<Uring>(256, sqpoll);
-    if (ring->ok()) {
-      uring_ = std::move(ring);
-      // Arm the wakeup poll before the loop thread exists so the first
-      // blocking wait can already be popped.
-      uring_->prep_poll_add(wake_read_fd_, POLLIN,
-                            uring_user_data(kUringTagWake, 0));
-      wake_armed_ = true;
-      uring_->submit();
-      return;
-    }
-  }
   if (backend != ReactorBackend::kPoll) init_epoll();
 }
 
 Reactor::~Reactor() {
-  // Close the ring (cancelling any in-flight SQEs) before the fds they
-  // reference.
-  uring_.reset();
   if (epoll_fd_ >= 0) ::close(epoll_fd_);
   if (wake_read_fd_ >= 0) ::close(wake_read_fd_);
   if (wake_write_fd_ >= 0 && wake_write_fd_ != wake_read_fd_) {
@@ -138,27 +110,7 @@ Reactor::~Reactor() {
 
 bool Reactor::ok() const { return wake_read_fd_ >= 0; }
 
-const char* Reactor::backend() const {
-  if (uring_) return "uring";
-  return use_epoll_ ? "epoll" : "poll";
-}
-
-void Reactor::uring_arm_poll(int fd, Entry& e) {
-  if (e.armed) return;
-  const short mask = to_poll_mask(e.interest);
-  if (mask == 0) return;
-  uring_->prep_poll_add(fd, static_cast<unsigned>(mask),
-                        poll_user_data(fd, e.gen));
-  e.armed = true;
-}
-
-void Reactor::uring_disarm_poll(int fd, Entry& e) {
-  if (!e.armed) return;
-  uring_->prep_poll_remove(poll_user_data(fd, e.gen),
-                           uring_user_data(kUringTagIgnore, 0));
-  e.gen = (e.gen + 1) & kGenMask;  // stale CQEs no longer match
-  e.armed = false;
-}
+const char* Reactor::backend() const { return use_epoll_ ? "epoll" : "poll"; }
 
 bool Reactor::add(int fd, unsigned interest, EventFn fn) {
   if (fd < 0 || handlers_.count(fd) != 0) return false;
@@ -170,10 +122,7 @@ bool Reactor::add(int fd, unsigned interest, EventFn fn) {
     if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) return false;
   }
 #endif
-  Entry& e = handlers_[fd];
-  e.interest = interest;
-  e.fn = std::move(fn);
-  if (uring_) uring_arm_poll(fd, e);
+  handlers_[fd] = Entry{interest, std::move(fn)};
   return true;
 }
 
@@ -188,12 +137,6 @@ bool Reactor::set_interest(int fd, unsigned interest) {
     if (::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &ev) != 0) return false;
   }
 #endif
-  if (uring_ && it->second.interest != interest) {
-    uring_disarm_poll(fd, it->second);
-    it->second.interest = interest;
-    uring_arm_poll(fd, it->second);
-    return true;
-  }
   it->second.interest = interest;
   return true;
 }
@@ -208,7 +151,6 @@ bool Reactor::remove(int fd) {
     (void)::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
   }
 #endif
-  if (uring_) uring_disarm_poll(fd, it->second);
   handlers_.erase(it);
   return true;
 }
@@ -265,53 +207,8 @@ void Reactor::drain_wakeup_pipe() {
   wake_pending_.store(false, std::memory_order_release);
 }
 
-int Reactor::uring_wait(int timeout_ms,
-                        std::vector<std::pair<int, unsigned>>* out) {
-  cqe_scratch_.clear();
-  const int n = uring_->submit_and_wait(timeout_ms, cqe_scratch_);
-  for (const UringCqe& c : cqe_scratch_) {
-    switch (uring_tag(c.user_data)) {
-      case kUringTagWake:
-        wake_armed_ = false;
-        drain_wakeup_pipe();
-        break;
-      case kUringTagPoll: {
-        const int fd = static_cast<int>(c.user_data & 0xFFFFFFFFu);
-        const unsigned gen =
-            static_cast<unsigned>(uring_payload(c.user_data) >> 32);
-        auto it = handlers_.find(fd);
-        if (it == handlers_.end() || (it->second.gen & kGenMask) != gen) {
-          break;  // stale: fd removed or interest replaced since arming
-        }
-        it->second.armed = false;
-        const unsigned ev = c.res >= 0
-                                ? from_poll_mask(static_cast<short>(c.res))
-                                : (kEventRead | kEventError);
-        if (ev != 0) out->emplace_back(fd, ev);
-        break;
-      }
-      case kUringTagIgnore:
-        break;
-      default:
-        if (cqe_handler_) cqe_handler_(c.user_data, c.res, c.flags);
-        break;
-    }
-  }
-  if (!wake_armed_) {
-    // Re-arm the wakeup poll; submitted before the next blocking wait.
-    // A wakeup() racing the unarmed window leaves the eventfd counter
-    // nonzero, so the fresh (level-triggered) poll completes instantly.
-    uring_->prep_poll_add(wake_read_fd_, POLLIN,
-                          uring_user_data(kUringTagWake, 0));
-    wake_armed_ = true;
-  }
-  if (cqe_drain_hook_) cqe_drain_hook_();
-  return n;
-}
-
 int Reactor::backend_wait(int timeout_ms,
                           std::vector<std::pair<int, unsigned>>* out) {
-  if (uring_) return uring_wait(timeout_ms, out);
 #if TEMPO_HAVE_EPOLL
   if (use_epoll_) {
     epoll_event events[64];
@@ -376,16 +273,6 @@ int Reactor::poll_once(int timeout_ms) {
     EventFn fn = it->second.fn;
     fn(events);
     ++dispatched;
-  }
-  if (uring_) {
-    // One-shot polls consumed this batch are re-armed only now, after
-    // their handlers ran: a handler that read the fd dry re-arms a
-    // quiet poll, one that left bytes behind gets an immediate
-    // completion — level-triggered semantics, one SQE per burst.
-    for (const auto& [fd, events] : ready) {
-      auto it = handlers_.find(fd);
-      if (it != handlers_.end()) uring_arm_poll(fd, it->second);
-    }
   }
   return dispatched;
 }

@@ -1,5 +1,5 @@
 // Reactor — single-threaded fd readiness dispatcher (epoll on Linux,
-// poll(2) everywhere, io_uring where the kernel supports it).
+// poll(2) everywhere).
 //
 // The concurrent server runtime of PR 1 spends one blocking thread per
 // listener and one worker per in-flight TCP connection; a slow peer pins
@@ -10,15 +10,8 @@
 //
 // Backends:
 //   * epoll — the Linux default; one epoll_wait per burst.
-//   * poll  — portable fallback, also selectable for tests.
-//   * uring — io_uring (raw syscalls, see uring.h).  fd interest is
-//     implemented as one-shot IORING_OP_POLL_ADD re-armed after each
-//     dispatch (preserving the level-triggered semantics handlers
-//     assume), and the owner may additionally push its own SQEs (e.g.
-//     multishot recv) through uring() and observe their completions via
-//     set_cqe_handler(); all SQEs batch into the single io_uring_enter
-//     that poll_once issues.  Requested uring falling back to epoll at
-//     construction (no kernel support) is reported via backend().
+//   * poll  — portable fallback (used when epoll_create fails), also
+//     selectable for tests.
 //
 // Threading contract: add/set_interest/remove/poll_once must all run on
 // the reactor thread (the thread that calls poll_once in a loop).  The
@@ -35,12 +28,9 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
-
-#include "net/uring.h"
 
 namespace tempo::net {
 
@@ -56,35 +46,21 @@ inline constexpr unsigned kEventError = 4u;
 using EventFn = std::function<void(unsigned events)>;
 
 enum class ReactorBackend {
-  kAuto,   // epoll on Linux, poll elsewhere (the historical default)
-  kEpoll,  // epoll, falling back to poll off-Linux
+  kAuto,   // epoll, falling back to poll(2) when epoll_create fails
+  kEpoll,  // the same as kAuto
   kPoll,   // portable poll(2)
-  kUring,  // io_uring, falling back to epoll when unavailable
 };
-
-// Receives completions whose user_data tag is >= kUringTagUser (uring
-// backend only; the reactor consumes its own poll/wake tags).
-using CqeFn =
-    std::function<void(std::uint64_t ud, std::int32_t res, std::uint32_t fl)>;
 
 class Reactor {
  public:
-  explicit Reactor(ReactorBackend backend, bool sqpoll = false);
-  // force_poll selects the portable poll(2) backend even where epoll is
-  // available — used by tests to cover the fallback path.
-  explicit Reactor(bool force_poll = false)
-      : Reactor(force_poll ? ReactorBackend::kPoll : ReactorBackend::kAuto) {}
+  explicit Reactor(ReactorBackend backend);
   ~Reactor();
 
   Reactor(const Reactor&) = delete;
   Reactor& operator=(const Reactor&) = delete;
 
   bool ok() const;
-  const char* backend() const;  // "epoll", "poll", or "uring"
-
-  // True when the running kernel supports everything the uring backend
-  // needs (probed once; see Uring::supported).
-  static bool uring_supported() { return Uring::supported(); }
+  const char* backend() const;  // "epoll" or "poll"
 
   // Registers `fd` for the given interest mask.  The reactor does NOT
   // own the fd; the caller closes it after remove().
@@ -106,32 +82,10 @@ class Reactor {
 
   std::size_t watched_fds() const { return handlers_.size(); }
 
-  // ---- uring backend surface (nullptr / no-ops otherwise) ------------
-  // The ring, for owners that prepare their own SQEs (reactor thread
-  // only; SQEs are submitted by the next poll_once).
-  Uring* uring() { return uring_.get(); }
-  // Called once per completion with a user tag (>= kUringTagUser).
-  void set_cqe_handler(CqeFn fn) { cqe_handler_ = std::move(fn); }
-  // Called once per poll_once after all CQEs were handled and before fd
-  // dispatch — the owner's batch point (push accumulated jobs, re-arm
-  // multishot ops, commit buffer-ring refills).
-  void set_cqe_drain_hook(std::function<void()> fn) {
-    cqe_drain_hook_ = std::move(fn);
-  }
-  // io_uring_enter syscalls issued so far (0 for other backends).
-  std::int64_t uring_enter_calls() const {
-    return uring_ ? uring_->enter_calls() : 0;
-  }
-
  private:
   struct Entry {
     unsigned interest = 0;
     EventFn fn;
-    // uring backend: generation guards against stale poll CQEs after
-    // set_interest/remove re-arms; armed tracks the in-flight one-shot
-    // POLL_ADD.
-    unsigned gen = 0;
-    bool armed = false;
   };
 
   void init_wakeup();
@@ -139,9 +93,6 @@ class Reactor {
   void drain_posted();
   void drain_wakeup_pipe();
   int backend_wait(int timeout_ms, std::vector<std::pair<int, unsigned>>* out);
-  int uring_wait(int timeout_ms, std::vector<std::pair<int, unsigned>>* out);
-  void uring_arm_poll(int fd, Entry& e);
-  void uring_disarm_poll(int fd, Entry& e);
 
   bool use_epoll_ = false;
   int epoll_fd_ = -1;
@@ -155,12 +106,6 @@ class Reactor {
   std::mutex post_mu_;
   std::vector<std::function<void()>> posted_;
   std::atomic<bool> wake_pending_{false};
-
-  std::unique_ptr<Uring> uring_;
-  bool wake_armed_ = false;
-  CqeFn cqe_handler_;
-  std::function<void()> cqe_drain_hook_;
-  std::vector<UringCqe> cqe_scratch_;
 };
 
 }  // namespace tempo::net

@@ -16,8 +16,6 @@
 //     queue — the per-request path crosses no global lock.  Idle
 //     workers steal from sibling shards' queues so a skewed flow-hash
 //     dispersal cannot strand capacity (stats().work_steals counts);
-//     cfg.shared_queue collapses all queues onto shard 0 for A/B
-//     comparison against the PR 4 single-shared-queue shape;
 //   * every UDP socket is non-blocking and drained in recvmmsg batches —
 //     one syscall per burst, not per datagram — and replies flush back
 //     out through per-worker, per-shard accumulators and sendmmsg
@@ -80,13 +78,10 @@
 
 namespace tempo::rpc {
 
-// Reactor backend every shard uses.  kAuto prefers io_uring when the
-// running kernel supports everything the backend needs (multishot
-// recv + provided buffer rings, probed once at startup) and otherwise
-// falls back to epoll — kernels without io_uring, seccomp-filtered
-// containers, and the TEMPO_URING=0 kill switch all land on the epoll
-// path with no configuration change.
-enum class EventBackend { kAuto, kEpoll, kPoll, kUring };
+// Reactor backend every shard uses.  kAuto and kEpoll both run epoll,
+// falling back to poll(2) when epoll_create fails; kPoll forces the
+// poll(2) backend (tests cover the fallback with it).
+using EventBackend = net::ReactorBackend;
 
 struct EventServerRuntimeConfig {
   // Total workers across all shards, split as evenly as possible
@@ -101,10 +96,6 @@ struct EventServerRuntimeConfig {
   // its own worker pool + job queue and its own buffer arena; 1 keeps
   // the single-loop behaviour of PR 2/3.
   int reactors = 1;
-  // A/B knob: route every job through shard 0's queue (the PR 4 shape —
-  // one shared queue serving all shards) instead of shard-local queues.
-  // Workers all home on shard 0; the bench compares the two.
-  bool shared_queue = false;
   // Requests of ONE TCP connection allowed in flight concurrently; the
   // per-connection reply ring keeps wire order.  1 restores strictly
   // serial per-connection execution.
@@ -113,8 +104,7 @@ struct EventServerRuntimeConfig {
   std::uint16_t tcp_port = 0;
   bool enable_udp = true;
   bool enable_tcp = true;
-  // Capacity of EACH shard's job queue (of the one shared queue under
-  // shared_queue).
+  // Capacity of EACH shard's job queue.
   std::size_t queue_capacity = 1024;
   // Datagrams pulled per recvmmsg syscall.
   int udp_batch = 32;
@@ -125,19 +115,8 @@ struct EventServerRuntimeConfig {
   // connection, the reactor stops reading it (TCP flow control pushes
   // back on the peer) until dispatch catches up.
   std::size_t max_pipelined_records = 64;
-  // Reactor backend (see EventBackend).  kUring is a hard request: if
-  // the kernel probe fails the shard reactors fall back to epoll and
-  // backend() reports what actually runs.
+  // Reactor backend (see EventBackend); backend() reports what runs.
   EventBackend backend = EventBackend::kAuto;
-  // uring only: IORING_SETUP_SQPOLL — a kernel thread consumes the SQ,
-  // so a steady-state burst submits with ZERO syscalls (the enter only
-  // waits for completions).  Costs one spinning kernel thread per
-  // shard; off by default.
-  bool sqpoll = false;
-  // uring only: provided-buffer ring slots per shard (rounded to a
-  // power of two).  Each slot holds one arena slice of the datagram
-  // size class, shared by UDP and TCP multishot receives.
-  int uring_buffers = 64;
   // Pin each shard's reactor thread and its home workers to CPU
   // (shard_index % hardware_concurrency).  Keeps a request's cache
   // lines on one core end to end; off by default because it backfires
@@ -148,10 +127,6 @@ struct EventServerRuntimeConfig {
   // sibling); the tick is only the safety net, and stats().tick_steals
   // counts how often it actually rescued a job.
   int steal_tick_ms = 50;
-  // Test hook: exercise the portable poll(2) backend on Linux too.
-  // Equivalent to backend = kPoll (kept for older call sites; wins
-  // over `backend` when set).
-  bool force_poll_backend = false;
   // stop() waits this long for queued work to finish before tearing
   // down the pool.
   int drain_timeout_ms = 2000;
@@ -218,13 +193,8 @@ class EventServerRuntime {
   // serve and had to send to the allocator.
   common::BufferArenaStats arena_stats() const;
   const char* backend() const;
-  // True when cfg.backend = kUring (or kAuto) can actually select the
-  // io_uring backend on this kernel.
-  static bool uring_supported() { return net::Reactor::uring_supported(); }
-  // Total io_uring_enter syscalls across shards (0 on other backends;
-  // valid between start() and stop()) — the bench divides by calls to
-  // report syscalls per request.
-  std::int64_t uring_enter_calls() const;
+  // Always 0: kept only because the e2ebench/ benchmark still calls it.
+  std::int64_t uring_enter_calls() const { return 0; }
   // Shards actually running (valid between start() and stop()).
   int reactor_count() const { return static_cast<int>(shards_.size()); }
   // Worker threads actually running across all shards.
@@ -302,12 +272,6 @@ class EventServerRuntime {
     std::size_t out_off = 0;    // [out_off, out_len) awaits the socket
     std::size_t out_len = 0;
     bool peer_eof = false;      // stop reading; flush, then close
-    // uring backend only: read interest is a multishot IORING_OP_RECV
-    // instead of a poll.  urecv_armed tracks the in-flight op,
-    // urecv_cancel a pending ASYNC_CANCEL (backpressure pause); both
-    // reconcile against `interest` in uring_sync_conn_recv.
-    bool urecv_armed = false;
-    bool urecv_cancel = false;
   };
 
   // One datagram per job: the recvmmsg batch amortizes the syscall, but
@@ -327,11 +291,6 @@ class EventServerRuntime {
     // the receive path pays one clock read per syscall, not per
     // datagram); 0 with metrics off.
     std::int64_t recv_ns = 0;
-    // Payload starts at payload.data() + off: zero for the recvmmsg
-    // path, the io_uring_recvmsg_out header size for uring multishot
-    // completions (the datagram stays in the buffer the kernel filled;
-    // nothing is memmoved).
-    std::size_t off = 0;
   };
   struct TcpRequestJob {
     std::size_t shard = 0;
@@ -341,25 +300,15 @@ class EventServerRuntime {
   };
   using Job = std::variant<UdpDatagramJob, TcpRequestJob>;
 
-  // uring-backend state of one shard (defined in the .cpp; present only
-  // on shards whose reactor actually runs the uring backend): the
-  // provided-buffer ring's arena slices, the persistent multishot
-  // recvmsg header, the in-flight linked-send slots, and the batch
-  // accumulators the CQE drain hook flushes.
-  struct ShardUring;
-
   // One reactor shard: an event loop thread plus everything it
   // exclusively owns, and its slice of the execution pipeline (worker
   // pool + bounded job queue + buffer arena).  Shards live in
   // unique_ptrs so Shard* captures in reactor callbacks stay stable.
   struct Shard {
-    // Both out of line: ShardUring is incomplete here, and the inline
-    // bodies would instantiate its destructor (unwind cleanup).
-    Shard(std::size_t idx, net::ReactorBackend be, bool sqpoll);
-    ~Shard();
+    Shard(std::size_t idx, net::ReactorBackend be)
+        : index(idx), reactor(be) {}
     std::size_t index;
     net::Reactor reactor;
-    std::unique_ptr<ShardUring> uring;  // null unless backend() == uring
     std::unique_ptr<net::UdpSocket> udp;  // null on non-receiving shards
     std::unordered_map<std::uint64_t, Conn> conns;
     std::uint64_t next_conn_id = 1;  // ids are per-shard; (shard, id) is
@@ -444,39 +393,7 @@ class EventServerRuntime {
   bool append_out(Shard& s, Conn& c, Chunk frame);
   void close_intake(Shard& s);     // stop reading new requests on `s`
 
-  // ---- uring backend (owning shard's reactor thread only) -------------
-  // Builds ShardUring: registers the provided-buffer ring, fills it
-  // with pinned arena slices, arms the UDP multishot recvmsg, installs
-  // the CQE handler + drain hook.  No-op unless the shard's reactor
-  // runs the uring backend.
-  void setup_shard_uring(Shard& s);
-  void on_uring_cqe(Shard& s, std::uint64_t ud, std::int32_t res,
-                    std::uint32_t flags);
-  // The per-poll batch point: pushes accumulated datagram jobs under
-  // one queue lock, re-arms terminated multishot ops, commits buffer
-  // ring refills.
-  void uring_drain_end(Shard& s);
-  void on_udp_recv_cqe(Shard& s, std::int32_t res, std::uint32_t flags);
-  void on_tcp_recv_cqe(Shard& s, std::uint64_t conn_id, std::int32_t res,
-                       std::uint32_t flags);
-  void on_udp_send_cqe(Shard& s, std::uint64_t slot, std::int32_t res);
-  // Reconciles a connection's desired read interest with the armed
-  // multishot recv (arm / cancel / re-arm after cancel completes).
-  void uring_sync_conn_recv(Shard& s, Conn& c);
-  // Reactor-thread continuation of flush_udp_replies for uring shards:
-  // one linked SQE chain per bucket instead of one sendmmsg.
-  void uring_send_bucket(Shard& s, std::vector<UdpReply> bucket);
-  // End-of-shard-loop drain: cancel armed receives, wait for every
-  // in-flight SQE's CQE (bounded), then unpin + recycle the ring's
-  // arena slices.  A kernel-referenced buffer is never recycled.
-  void uring_teardown(Shard& s);
-
   // ---- worker side ----------------------------------------------------
-  // The queue a job originating on shard `origin` is pushed to (shard 0
-  // under cfg.shared_queue).
-  Shard& job_queue_shard(std::size_t origin) {
-    return *shards_[cfg_.shared_queue ? 0 : origin];
-  }
   // Moves from `job` only on success so a failed push can be retried.
   bool push_job(std::size_t origin, Job& job);
   // Queues the first n entries of `batch` as individual jobs under one

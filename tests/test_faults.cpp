@@ -70,13 +70,7 @@ using test::UdpFaultProxy;
 
 // --------------------------- both runtimes behind one test surface ---
 
-enum class RuntimeKind {
-  kThreaded,
-  kReactor,
-  kReactorSharded,
-  kReactorUring,
-  kReactorShardedUring,
-};
+enum class RuntimeKind { kThreaded, kReactor, kReactorSharded };
 
 const char* kind_name(RuntimeKind k) {
   switch (k) {
@@ -86,17 +80,8 @@ const char* kind_name(RuntimeKind k) {
       return "reactor";
     case RuntimeKind::kReactorSharded:
       return "reactor4";
-    case RuntimeKind::kReactorUring:
-      return "reactor_uring";
-    case RuntimeKind::kReactorShardedUring:
-      return "reactor4_uring";
   }
   return "?";
-}
-
-bool kind_is_uring(RuntimeKind k) {
-  return k == RuntimeKind::kReactorUring ||
-         k == RuntimeKind::kReactorShardedUring;
 }
 
 class RuntimeUnderTest {
@@ -131,19 +116,10 @@ std::unique_ptr<RuntimeUnderTest> make_runtime(RuntimeKind kind,
                                                                         cfg);
     }
     case RuntimeKind::kReactor:
-    case RuntimeKind::kReactorSharded:
-    case RuntimeKind::kReactorUring:
-    case RuntimeKind::kReactorShardedUring: {
+    case RuntimeKind::kReactorSharded: {
       rpc::EventServerRuntimeConfig cfg;
       cfg.workers = 2;
-      cfg.reactors = (kind == RuntimeKind::kReactorSharded ||
-                      kind == RuntimeKind::kReactorShardedUring)
-                         ? 4
-                         : 1;
-      // The epoll rows stay epoll even on uring-capable kernels so the
-      // fault matrix always covers both event paths explicitly.
-      cfg.backend = kind_is_uring(kind) ? rpc::EventBackend::kUring
-                                        : rpc::EventBackend::kEpoll;
+      cfg.reactors = kind == RuntimeKind::kReactorSharded ? 4 : 1;
       cfg.enable_tcp = false;
       return std::make_unique<RuntimeWrapper<rpc::EventServerRuntime,
                                              rpc::EventServerRuntimeConfig>>(
@@ -159,10 +135,6 @@ std::unique_ptr<RuntimeUnderTest> make_runtime(RuntimeKind kind,
 class RuntimeFaults : public ::testing::TestWithParam<RuntimeKind> {
  protected:
   void SetUp() override {
-    if (kind_is_uring(GetParam()) &&
-        !rpc::EventServerRuntime::uring_supported()) {
-      GTEST_SKIP() << "io_uring unavailable on this kernel";
-    }
     cache_ = std::make_unique<core::SpecCache>(32, 4);
     service_ = std::make_unique<core::CachedSpecService>(
         *cache_, echo_array_proc(), kProg, kVers,
@@ -334,9 +306,7 @@ TEST_P(RuntimeFaults, GenericClientConvergesUnderSameFaults) {
 INSTANTIATE_TEST_SUITE_P(BothRuntimes, RuntimeFaults,
                          ::testing::Values(RuntimeKind::kThreaded,
                                            RuntimeKind::kReactor,
-                                           RuntimeKind::kReactorSharded,
-                                           RuntimeKind::kReactorUring,
-                                           RuntimeKind::kReactorShardedUring),
+                                           RuntimeKind::kReactorSharded),
                          [](const auto& info) {
                            return kind_name(info.param);
                          });

@@ -59,10 +59,6 @@ class ReactorBackends
     : public ::testing::TestWithParam<net::ReactorBackend> {};
 
 TEST_P(ReactorBackends, PipeReadinessAndCrossThreadPost) {
-  if (GetParam() == net::ReactorBackend::kUring &&
-      !net::Reactor::uring_supported()) {
-    GTEST_SKIP() << "io_uring unavailable on this kernel";
-  }
   net::Reactor r(GetParam());
   ASSERT_TRUE(r.ok());
   switch (GetParam()) {
@@ -74,9 +70,6 @@ TEST_P(ReactorBackends, PipeReadinessAndCrossThreadPost) {
       break;
     case net::ReactorBackend::kPoll:
       EXPECT_STREQ(r.backend(), "poll");
-      break;
-    case net::ReactorBackend::kUring:
-      EXPECT_STREQ(r.backend(), "uring");
       break;
     default:
       break;
@@ -119,12 +112,10 @@ TEST_P(ReactorBackends, PipeReadinessAndCrossThreadPost) {
 
 INSTANTIATE_TEST_SUITE_P(Backends, ReactorBackends,
                          ::testing::Values(net::ReactorBackend::kAuto,
-                                           net::ReactorBackend::kPoll,
-                                           net::ReactorBackend::kUring),
+                                           net::ReactorBackend::kPoll),
                          [](const auto& info) {
                            switch (info.param) {
                              case net::ReactorBackend::kPoll: return "poll";
-                             case net::ReactorBackend::kUring: return "uring";
                              default: return "auto";
                            }
                          });
@@ -135,10 +126,6 @@ class EventRuntimeBackends
     : public ::testing::TestWithParam<rpc::EventBackend> {};
 
 TEST_P(EventRuntimeBackends, CachedServiceOverLoopbackUdp) {
-  if (GetParam() == rpc::EventBackend::kUring &&
-      !rpc::EventServerRuntime::uring_supported()) {
-    GTEST_SKIP() << "io_uring unavailable on this kernel";
-  }
   core::SpecCache cache(32, /*shards=*/4);
 
   rpc::SvcRegistry reg;
@@ -153,13 +140,17 @@ TEST_P(EventRuntimeBackends, CachedServiceOverLoopbackUdp) {
 
   rpc::EventServerRuntimeConfig cfg;
   cfg.workers = 4;
-  cfg.backend = GetParam();
+  // The auto row keeps the config's default backend: a default config
+  // must serve on epoll.
+  if (GetParam() != rpc::EventBackend::kAuto) cfg.backend = GetParam();
   rpc::EventServerRuntime runtime(reg, cfg);
   ASSERT_TRUE(runtime.start().is_ok());
   if (GetParam() == rpc::EventBackend::kPoll) {
     EXPECT_STREQ(runtime.backend(), "poll");
-  } else if (GetParam() == rpc::EventBackend::kUring) {
-    EXPECT_STREQ(runtime.backend(), "uring");
+  } else {
+#if defined(__linux__)
+    EXPECT_STREQ(runtime.backend(), "epoll");
+#endif
   }
 
   const std::vector<std::uint32_t> sizes = {25, 50, 100};
@@ -204,12 +195,10 @@ TEST_P(EventRuntimeBackends, CachedServiceOverLoopbackUdp) {
 
 INSTANTIATE_TEST_SUITE_P(Backends, EventRuntimeBackends,
                          ::testing::Values(rpc::EventBackend::kAuto,
-                                           rpc::EventBackend::kPoll,
-                                           rpc::EventBackend::kUring),
+                                           rpc::EventBackend::kPoll),
                          [](const auto& info) {
                            switch (info.param) {
                              case rpc::EventBackend::kPoll: return "poll";
-                             case rpc::EventBackend::kUring: return "uring";
                              default: return "auto";
                            }
                          });

@@ -88,19 +88,13 @@ bool stress_kv_enabled() {
   return e != nullptr && *e != '\0' && *e != '0';
 }
 
-// TEMPO_STRESS_BACKEND={auto,epoll,poll,uring} pins the reactor backend
-// for every soak runtime; CI's sanitizer lanes run the suite once per
-// event path.  "uring" on a kernel without support falls back to the
-// auto choice (the runtime downgrades; the soak still runs).
+// TEMPO_STRESS_BACKEND={auto,epoll,poll} pins the reactor backend for
+// every soak runtime.
 rpc::EventBackend stress_backend() {
   const char* e = std::getenv("TEMPO_STRESS_BACKEND");
   if (e == nullptr) return rpc::EventBackend::kAuto;
   if (std::strcmp(e, "epoll") == 0) return rpc::EventBackend::kEpoll;
   if (std::strcmp(e, "poll") == 0) return rpc::EventBackend::kPoll;
-  if (std::strcmp(e, "uring") == 0 &&
-      rpc::EventServerRuntime::uring_supported()) {
-    return rpc::EventBackend::kUring;
-  }
   return rpc::EventBackend::kAuto;
 }
 

@@ -8,7 +8,7 @@ Usage:
 
 Points are matched on the configuration key — by default the
 bench_concurrent fields (runtime, workers, clients, reactors,
-workers_per_shard, tcp_depth, queue); other benches pass --key-fields
+workers_per_shard, tcp_depth, backend); other benches pass --key-fields
 (e.g. bench_kv uses mode,writers,value_bytes).  For each matched pair
 the script flags
 
@@ -28,7 +28,7 @@ import sys
 
 
 DEFAULT_KEY_FIELDS = ("runtime", "workers", "clients", "reactors",
-                      "workers_per_shard", "tcp_depth", "queue", "backend")
+                      "workers_per_shard", "tcp_depth", "backend")
 
 
 def config_key(point, fields):
